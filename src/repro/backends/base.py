@@ -6,7 +6,8 @@ that used to be hard-coded as the NumPy bodies of
 :mod:`repro.core.kernels`:
 
 * :meth:`KernelBackend.global_sweep` / :meth:`KernelBackend.frontier_push`
-  / :meth:`KernelBackend.sweep_active` — the single-source kernels that
+  / :meth:`KernelBackend.sweep_active` /
+  :meth:`KernelBackend.chunked_sweep` — the single-source kernels that
   :func:`~repro.core.powerpush.power_push`, FIFO-FwdPush, SimFwdPush and
   the refinement loop are built from, and
 * their ``block_*`` variants operating on a
@@ -94,6 +95,16 @@ class KernelBackend:
         """Push all active nodes once; return how many were pushed."""
         raise NotImplementedError
 
+    def chunked_sweep(
+        self,
+        state: PushState,
+        *,
+        stop_at: float = 0.0,
+        workspace: Workspace | None = None,
+    ) -> None:
+        """One chunked-asynchronous pass, stopping at ``stop_at``."""
+        raise NotImplementedError
+
     # -- block (multi-source) kernels ----------------------------------
     def block_global_sweep(
         self,
@@ -127,6 +138,17 @@ class KernelBackend:
         workspace: Workspace | None = None,
     ) -> np.ndarray:
         """Sweep each row once, switching global/local per row."""
+        raise NotImplementedError
+
+    def block_chunked_sweep(
+        self,
+        state: BlockPushState,
+        rows: np.ndarray,
+        *,
+        stop_at: np.ndarray | None = None,
+        workspace: Workspace | None = None,
+    ) -> None:
+        """One chunked-asynchronous pass for every row in ``rows``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

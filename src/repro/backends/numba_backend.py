@@ -28,6 +28,11 @@ sequentially where NumPy reduces pairwise, so answers agree with the
 reference to ~1e-12 L1 rather than bitwise.  The dead-end policy
 routing and operation billing reuse the reference helpers in
 :mod:`repro.core.kernels`, so those side channels cannot drift.
+
+The chunked-asynchronous scan (``chunked_sweep`` and its block
+variant) has no jitted loop: each chunk is already one scipy
+``csc_matvec`` call, so both methods run the reference body and agree
+with it bitwise.
 """
 
 from __future__ import annotations
@@ -403,6 +408,17 @@ class NumbaBackend(KernelBackend):
             self.global_sweep(state, count_all_edges=False)
         return count
 
+    def chunked_sweep(
+        self,
+        state: PushState,
+        *,
+        stop_at: float = 0.0,
+        workspace: Workspace | None = None,
+    ) -> None:
+        from repro.core import kernels
+
+        kernels.chunked_sweep(state, stop_at=stop_at, workspace=workspace)
+
     # -- block (multi-source) kernels ----------------------------------
     def block_global_sweep(
         self,
@@ -530,6 +546,20 @@ class NumbaBackend(KernelBackend):
                 workspace=workspace,
             )
         return num_active
+
+    def block_chunked_sweep(
+        self,
+        state: BlockPushState,
+        rows: np.ndarray,
+        *,
+        stop_at: np.ndarray | None = None,
+        workspace: Workspace | None = None,
+    ) -> None:
+        from repro.core import kernels
+
+        kernels.block_chunked_sweep(
+            state, rows, stop_at=stop_at, workspace=workspace
+        )
 
     @staticmethod
     def _route_block_dead_mass(

@@ -65,6 +65,17 @@ class NumpyBackend(KernelBackend):
             workspace=workspace,
         )
 
+    def chunked_sweep(
+        self,
+        state: PushState,
+        *,
+        stop_at: float = 0.0,
+        workspace: Workspace | None = None,
+    ) -> None:
+        from repro.core import kernels
+
+        kernels.chunked_sweep(state, stop_at=stop_at, workspace=workspace)
+
     def block_global_sweep(
         self,
         state: BlockPushState,
@@ -108,4 +119,18 @@ class NumpyBackend(KernelBackend):
             masks,
             dense_fraction=dense_fraction,
             workspace=workspace,
+        )
+
+    def block_chunked_sweep(
+        self,
+        state: BlockPushState,
+        rows: np.ndarray,
+        *,
+        stop_at: np.ndarray | None = None,
+        workspace: Workspace | None = None,
+    ) -> None:
+        from repro.core import kernels
+
+        kernels.block_chunked_sweep(
+            state, rows, stop_at=stop_at, workspace=workspace
         )

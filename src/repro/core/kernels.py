@@ -1,24 +1,51 @@
 """Vectorised push kernels shared by the algorithm implementations.
 
-Every push-family algorithm in the paper reduces to two bulk moves:
+Every push-family algorithm in the paper reduces to three bulk moves:
 
 * a **global sweep** — push *every* node simultaneously; this is one
-  Power-Iteration step and costs ``O(m)`` regardless of how much
-  residue exists (implemented as one sparse mat-vec with the cached
-  ``P^T``), and
+  Power-Iteration step: one sparse mat-vec (a gather over ``P^T``'s
+  CSR rows) plus a few ``O(n)`` passes, ``O(m + n)`` regardless of how
+  much residue exists;
 * a **frontier push** — push only a given set of nodes; this costs
-  ``O(sum of frontier degrees)`` (implemented as a gather of the
-  frontier's adjacency ranges followed by one ``bincount`` scatter).
+  ``O(sum of frontier degrees)`` plus an ``O(n)`` scatter (a gather of
+  the frontier's adjacency ranges followed by one ``bincount``), at a
+  much higher constant per edge than the mat-vec;
+* a **chunked-asynchronous pass** — push every residue-holding node,
+  chunk by chunk, in place (:func:`chunked_sweep`).
 
-The switch between them is exactly the paper's "global sequential scan
-vs. local random access" trade-off (Section 5): for small frontiers the
-gather/scatter wins; once the frontier covers a sizeable fraction of
-the graph the contiguous mat-vec is faster.  :func:`sweep_active`
-chooses automatically using the same kind of threshold PowerPush uses.
+Cost model of the chunked pass.  The graph's chunk table
+(:meth:`~repro.graph.digraph.DiGraph.push_chunks`) cuts the node range
+into ``K`` contiguous chunks of about ``CHUNK_EDGE_BUDGET`` edges plus
+nodes (~32k: the chunk's index slice, share vector and most residue
+entries it touches stay L2-resident).  Each chunk is one scatter
+(``csc_matvec`` over its out-edge CSR rows, i.e. the CSC columns of its
+``P^T`` block) plus a handful of ``O(chunk)`` passes, so a whole pass
+costs the same ``O(m + n)`` as a global sweep plus ``K`` interpreter
+round trips (a few µs each); the scatter's random writes make it about
+20% slower per edge than the mat-vec's gather (1.44 vs 1.22 ms per
+pass at 1M edges on a 2-vCPU Xeon VM).  What it buys is
+freshness: a chunk pushes the mass earlier chunks of the same pass
+deposited — the asynchronous scan of the paper's Section 5, which
+reuses new residue instead of waiting a full pass for it — and the
+pass stops at the first chunk that meets the caller's target.  On a
+1M-edge R-MAT graph (n = 47.5k, K = 33) PowerPush's scan needs 4.4e7
+residue updates this way against 8.0e7 with global sweeps.  A
+single-chunk table (graphs under the budget) gets the global sweep
+itself, which is the same pass.
 
-All kernels perform *simultaneous* pushes: contributions are computed
-from the residues at entry.  They mutate the :class:`PushState` in
-place and keep its incremental ``r_sum`` and counters up to date.
+The switch between the local and global moves is the paper's "global
+sequential scan vs. local random access" trade-off (Section 5): for
+small frontiers the gather/scatter wins; once the frontier covers a
+sizeable fraction of the graph the contiguous passes are faster.
+:func:`sweep_active` chooses between frontier push and global sweep by
+frontier size; PowerPush's scan phase chooses between frontier push and
+chunked pass by the frontier's node and edge counts.
+
+The frontier push and the global sweep are *simultaneous*:
+contributions are computed from the residues at entry.  The chunked
+pass is simultaneous within a chunk and asynchronous across chunks.
+All kernels mutate the :class:`PushState` in place and keep its ``r_sum``
+and counters up to date.
 
 Block (multi-source) kernels and their cost model
 -------------------------------------------------
@@ -33,13 +60,20 @@ constants, not the asymptotics:
   nonzero touched streams ``B`` contiguous residue values, so the cost
   is ``O(m + m·B)`` flops behind a single ``O(m)`` index scan instead
   of ``B`` separate scans.
+* :func:`block_chunked_sweep` does the same per chunk with
+  ``csc_matvecs`` on an ``(n, B)`` transposed copy of the rows: one
+  index scan per chunk for all rows, plus one ``O(chunk · B)``
+  transposing copy per chunk so that each row's chunk mass is summed
+  exactly as the single-source pass sums it.  A row whose own pass has
+  met its target pushes exact zeros for the rest of the block's pass.
 * :func:`block_frontier_push` gathers the adjacency ranges of the
   **union** frontier once (``O(sum of union degrees)``) and scatters
   all rows through one flat 2-D ``bincount`` over ``row * n + target``
   indexes.  Rows pay only for their *own* active nodes' shares; nodes
   active in no row contribute exact ``+0.0`` terms, which keeps every
   row bitwise-identical to an independent single-source push while the
-  index arithmetic is shared.
+  index arithmetic is shared.  Its ``(B x total)`` staging matrices
+  make it the block path's largest memory user.
 * :func:`block_sweep_active` applies the global/local switch *per
   row*: hot rows (wide frontiers) join the mat-mat scan while cold
   rows (narrow frontiers) join the union gather — the paper's density
@@ -71,13 +105,15 @@ the cost model above, not its asymptotics:
   in a register, so a sparse late-epoch frontier costs
   ``O(sum of frontier degrees)`` with no ``O(n)``-sized scatter term
   and no per-call NumPy dispatch overhead;
-* the global sweep's scipy mat-vec dispatch and the separate ``O(n)``
-  reserve/billing passes fuse into one loop over ``P^T``;
+* the global sweep's mat-vec and its separate ``O(n)`` reserve and
+  billing passes fuse into one loop over ``P^T``;
 * the block kernels drop the union-frontier staging entirely — the
   ``(B x total)`` share/weight matrices the 2-D ``bincount`` scatter
   needs (zero-filled even where a row is inactive) are replaced by
   per-row loops that only walk the row's own active ranges, run in
-  parallel over the row dimension (``prange``).
+  parallel over the row dimension (``prange``);
+* the chunked pass is left alone: each chunk already runs as one scipy
+  loop, so the compiled backend reuses the reference body.
 
 Empty frontiers are handled *before* backend dispatch: a push with no
 nodes (or a block push with no active mask) returns immediately
@@ -100,24 +136,34 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     # methods on the passed object, so the type is annotation-only.
     from repro.backends.base import KernelBackend
 
-try:  # pragma: no cover - import guard for exotic scipy builds
-    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
-except ImportError:  # pragma: no cover
-    _csr_matvecs = None
+# scipy's compiled sparse mat-vec loops, called directly: at
+# serving-size graphs the dispatch layers of ``P^T.dot`` cost about as
+# much as the arithmetic.
+from scipy.sparse._sparsetools import (
+    csc_matvec as _csc_matvec,
+    csc_matvecs as _csc_matvecs,
+    csr_matvec as _csr_matvec,
+    csr_matvecs as _csr_matvecs,
+)
 
 __all__ = [
     "frontier_edge_targets",
     "global_sweep",
     "frontier_push",
     "sweep_active",
+    "chunked_sweep",
     "block_global_sweep",
     "block_frontier_push",
     "block_sweep_active",
+    "block_chunked_sweep",
 ]
+
+_add_reduce = np.add.reduce
 
 # Fraction of all nodes above which `sweep_active` abandons the
 # gather/scatter path for the contiguous mat-vec.  Mirrors PowerPush's
-# scan_threshold = n/4 default.
+# scan_threshold = n/4 default; PowerPush's scan phase applies it to
+# the frontier's edges as well.
 DENSE_SWEEP_FRACTION = 0.25
 
 # Shared zero-length results for the empty-frontier fast paths: late
@@ -221,7 +267,13 @@ def global_sweep(
     alpha = state.alpha
 
     state.reserve += alpha * r
-    moved = graph.transition_matrix_transpose().dot((1.0 - alpha) * r)
+    matrix = graph.transition_matrix_transpose()
+    n = graph.num_nodes
+    scaled = (1.0 - alpha) * r
+    moved = np.zeros(n, dtype=np.float64)
+    _csr_matvec(
+        n, n, matrix.indptr, matrix.indices, matrix.data, scaled, moved
+    )
 
     dead = graph.dead_ends
     dead_mass = 0.0
@@ -343,6 +395,79 @@ def sweep_active(
     return num_active
 
 
+def chunked_sweep(
+    state: PushState,
+    *,
+    stop_at: float = 0.0,
+    workspace: Workspace | None = None,
+    backend: "KernelBackend | None" = None,
+) -> None:
+    """One chunked-asynchronous pass over every residue-holding node.
+
+    Walks the graph's chunk table (:meth:`DiGraph.push_chunks`, node
+    ranges of about equal edge count) in node order.  Each chunk is
+    pushed simultaneously — its residues are recorded and zeroed, then
+    one ``csc_matvec`` over its out-edge CSR rows scatters the
+    degree-scaled shares into ``r`` in place — so every later chunk of
+    the same pass pushes the mass earlier chunks just deposited: the
+    Gauss-Seidel flavour of the paper's asynchronous sequential scan,
+    at chunk rather than node granularity.  Dead-end mass is routed
+    per chunk under the state's policy.
+
+    The pass stops after the first chunk at which the running residue
+    mass falls to ``stop_at`` or below (``0`` never stops early), then
+    settles the reserves, bills each pushed holder by its out-degree
+    (SimFwdPush semantics, as in :func:`global_sweep`) and re-certifies
+    ``r_sum`` with :meth:`PushState.refresh_r_sum`.  A graph whose
+    table holds a single chunk gets :func:`global_sweep` instead: that
+    is the same pass, and the mat-vec's gather is cheaper than the
+    scatter.
+    """
+    if backend is not None:
+        backend.chunked_sweep(state, stop_at=stop_at, workspace=workspace)
+        return
+    graph = state.graph
+    table = graph.push_chunks()
+    if len(table.chunks) == 1:
+        global_sweep(state, count_all_edges=False)
+        return
+    n = graph.num_nodes
+    alpha = state.alpha
+    r = state.residue
+    # Residue each node was pushed with this pass (fully written up to
+    # ``reached`` before anything reads it, so empty scratch is safe).
+    pushed = _scratch(workspace, "chunk_pushed", n, np.float64)
+    shares = _scratch(workspace, "chunk_shares", n, np.float64)
+    np.multiply(table.inv_degree, 1.0 - alpha, out=shares)
+    running = state.r_sum
+    reached = n
+    for begin, end, indptr, indices, weights, dead in table.chunks:
+        chunk = pushed[begin:end]
+        chunk[:] = r[begin:end]
+        r[begin:end] = 0.0
+        # shares holds (1 - alpha) / d_v until its chunk turns it into
+        # the chunk's per-edge shares.
+        share = shares[begin:end]
+        share *= chunk
+        _csc_matvec(n, end - begin, indptr, indices, weights, share, r)
+        if dead.shape[0]:
+            _apply_dead_end_mass(
+                state, (1.0 - alpha) * float(pushed[dead].sum())
+            )
+        running -= alpha * float(_add_reduce(chunk))
+        if running <= stop_at:
+            reached = end
+            break
+    done = pushed[:reached]
+    state.reserve[:reached] += alpha * done
+    holders = done > 0.0
+    state.counters.count_bulk_pushes(
+        int(np.count_nonzero(holders)),
+        int(np.dot(graph.out_degree[:reached], holders)),
+    )
+    state.refresh_r_sum()
+
+
 def _apply_dead_end_mass(state: PushState, dead_mass: float) -> None:
     """Route mass emitted by dead ends according to the state's policy."""
     if dead_mass == 0.0:
@@ -408,7 +533,7 @@ def _block_propagate(
     """
     matrix = graph.transition_matrix_transpose()
     num_rows, n = scaled.shape
-    if _csr_matvecs is None or workspace is None:
+    if workspace is None:
         return matrix.dot(np.ascontiguousarray(scaled.T))
     operand = workspace.buffer2d("matmat_in", n, num_rows)
     operand[:] = scaled.T
@@ -699,6 +824,121 @@ def block_sweep_active(
             state, rows[dense], count_all_edges=False, workspace=workspace
         )
     return num_active
+
+
+def block_chunked_sweep(
+    state: BlockPushState,
+    rows: np.ndarray,
+    *,
+    stop_at: np.ndarray | None = None,
+    workspace: Workspace | None = None,
+    backend: "KernelBackend | None" = None,
+) -> None:
+    """One :func:`chunked_sweep` pass for every row in ``rows`` at once.
+
+    The rows' residues are transposed into the workspace's ``(n, R)``
+    operand, and each chunk scatters all of them with one
+    ``csc_matvecs``, so the chunk's index scan is paid once for the
+    block.  ``stop_at`` (aligned with ``rows``; ``None`` never stops
+    early) ends each row's pass at the chunk where its own single-source
+    pass would end: from then on the row pushes exact zeros, which
+    leave its residues, reserves and bills untouched.  Every per-row
+    float value follows the single-source operation sequence, so each
+    row stays bitwise-equal to an independent :func:`chunked_sweep`
+    (a single-chunk table runs :func:`block_global_sweep`, mirroring
+    it).
+    """
+    if rows.shape[0] == 0:
+        return
+    if backend is not None:
+        backend.block_chunked_sweep(
+            state, rows, stop_at=stop_at, workspace=workspace
+        )
+        return
+    graph = state.graph
+    table = graph.push_chunks()
+    if len(table.chunks) == 1:
+        block_global_sweep(
+            state, rows, count_all_edges=False, workspace=workspace
+        )
+        return
+    n = graph.num_nodes
+    alpha = state.alpha
+    num_rows = rows.shape[0]
+    whole_block = _is_identity(rows, state.num_rows)
+    work = _scratch(workspace, "matmat_out", n * num_rows, np.float64)
+    work = work.reshape(n, num_rows)
+    work[:] = (state.residue if whole_block else state.residue[rows]).T
+    operand = _scratch(workspace, "matmat_in", n * num_rows, np.float64)
+    pushed = _scratch(workspace, "chunk_pushed", n * num_rows, np.float64)
+    pushed = pushed.reshape(n, num_rows)
+    widest = max(end - begin for begin, end, *_ in table.chunks)
+    # Row-major copy of one chunk's pushes: its row sums are pairwise
+    # over contiguous values, bitwise what the single-source 1-D chunk
+    # sums give (a column sum of ``pushed`` would add sequentially).
+    by_row = _scratch(workspace, "chunk_rows", num_rows * widest, np.float64)
+    scale = _scratch(workspace, "chunk_shares", n, np.float64)
+    np.multiply(table.inv_degree, 1.0 - alpha, out=scale)
+    policy = state.dead_end_policy
+    columns = np.arange(num_rows)
+    running = state.r_sum[rows].copy()
+    stopped = _scratch(workspace, "chunk_stopped", num_rows, np.bool_)
+    stopped[:] = False
+    any_stopped = False
+    reached = n
+    for begin, end, indptr, indices, weights, dead in table.chunks:
+        width = end - begin
+        chunk = pushed[begin:end]
+        chunk[:] = work[begin:end]
+        if any_stopped:
+            # Stopped rows push exact zeros (x * 0.0): y - 0 keeps their
+            # residues, y - y zeroes the others.
+            chunk *= ~stopped
+            work[begin:end] -= chunk
+        else:
+            work[begin:end] = 0.0
+        shares = operand[: width * num_rows].reshape(width, num_rows)
+        np.multiply(chunk, scale[begin:end, None], out=shares)
+        _csc_matvecs(
+            n, width, num_rows, indptr, indices, weights,
+            shares.reshape(-1), work.reshape(-1),
+        )
+        if dead.shape[0]:
+            dead_masses = (1.0 - alpha) * np.ascontiguousarray(
+                np.take(pushed, dead, axis=0).T
+            ).sum(axis=1)
+            if policy == "redirect-to-source":
+                work[state.sources[rows], columns] += dead_masses
+            elif policy == "uniform-teleport":
+                work += (dead_masses / n)[None, :]
+            elif np.any(dead_masses != 0.0):
+                raise AssertionError(
+                    "structural self-loop graphs cannot emit dead-end mass"
+                )
+        chunk_rows = by_row[: num_rows * width].reshape(num_rows, width)
+        np.copyto(chunk_rows, chunk.T)
+        running -= alpha * chunk_rows.sum(axis=1)
+        if stop_at is not None:
+            stopped |= running <= stop_at
+            any_stopped = bool(stopped.any())
+            if stopped.all():
+                reached = end
+                break
+    done = pushed[:reached]
+    if whole_block:
+        state.reserve[:, :reached] += alpha * done.T
+        state.residue[:] = work.T
+        state.r_sum[:] = state.residue.sum(axis=1)
+    else:
+        state.reserve[rows, :reached] += alpha * done.T
+        state.residue[rows] = work.T
+        state.r_sum[rows] = state.residue[rows].sum(axis=1)
+    holders = done > 0.0
+    state.count_bulk_pushes(
+        rows,
+        np.count_nonzero(holders, axis=0),
+        graph.out_degree[:reached] @ holders,
+    )
 
 
 def _apply_block_dead_end_mass(

@@ -18,10 +18,21 @@ scans once the frontier is wide).  Three ingredients (Section 5):
    before being pushed and cutting the total number of residue updates.
 
 Like the other algorithms, PowerPush has a *faithful* scalar mode
-matching Algorithm 3 line for line, and a *vectorised* mode where each
-scan pass is a simultaneous masked sweep (the asynchronous-within-scan
-refinement is then approximated by running passes to the epoch target;
-the epoch structure and queue phase are identical).
+matching Algorithm 3 line for line, and a *vectorised* mode with the
+same queue phase and epoch structure.  Its queue phase pushes whole
+FIFO frontiers at once.  Its scan phase pushes a frontier whose nodes
+and edges are both at most a quarter of the graph's by gather/scatter,
+and otherwise runs a chunked-asynchronous pass
+(:func:`~repro.core.kernels.chunked_sweep`): node ranges of about equal
+edge count are pushed in order, each in place, so later ranges push
+the mass earlier ranges deposited in the same pass — ingredient 1 at
+chunk rather than node granularity — and the pass stops as soon as the
+epoch target is met.  On a 1M-edge R-MAT graph this halves the residue
+updates of the synchronous sweep it replaced.  If the final epoch finds
+no active node while ``r_sum`` is still above lambda (the conceptual
+dead-end degrees allow that), it keeps running chunked passes, so the
+returned ``r_sum`` always meets lambda; the faithful mode stops there
+as Algorithm 3 does.
 """
 
 from __future__ import annotations
@@ -35,10 +46,10 @@ import numpy as np
 from repro.backends import KernelBackend, active_backend
 from repro.core.kernels import (
     DENSE_SWEEP_FRACTION,
+    block_chunked_sweep,
     block_frontier_push,
-    block_global_sweep,
+    chunked_sweep,
     frontier_push,
-    sweep_active,
 )
 from repro.core.residues import BlockPushState, DeadEndPolicy, PushState
 from repro.core.result import PPRResult
@@ -269,23 +280,47 @@ def _run_vectorized(
             trace.maybe_record(state.counters.residue_updates, state.r_sum)
 
     # --- Scan phase with dynamic thresholds ---------------------------
+    # A frontier is pushed by gather/scatter while both its nodes and
+    # its edges are at most a quarter of the graph's (that path costs
+    # far more per edge), and otherwise by a chunked-asynchronous pass
+    # that stops once the epoch target is met.
     if state.refresh_r_sum() > l1_threshold:
         degree_f = state.effective_out_degree.astype(np.float64)
+        dense_nodes = DENSE_SWEEP_FRACTION * n
+        dense_edges = DENSE_SWEEP_FRACTION * m
         for epoch in range(1, config.epoch_num + 1):
             state.counters.bump("epochs")
             epoch_r_max = l1_threshold ** (epoch / config.epoch_num) / m
             threshold_vec = degree_f * epoch_r_max
-            while state.r_sum > m * epoch_r_max:
-                pushed = sweep_active(
-                    state,
-                    epoch_r_max,
-                    threshold_vec=threshold_vec,
-                    workspace=workspace,
-                    backend=backend,
-                )
-                if pushed == 0:
+            target = m * epoch_r_max
+            while state.r_sum > target:
+                active = state.residue > threshold_vec
+                num_active = int(np.count_nonzero(active))
+                if num_active == 0:
                     state.refresh_r_sum()
-                    break
+                    if epoch < config.epoch_num or state.r_sum <= target:
+                        break
+                if (
+                    0 < num_active <= dense_nodes
+                    and int(np.dot(graph.out_degree, active)) <= dense_edges
+                ):
+                    frontier_push(
+                        state,
+                        np.flatnonzero(active),
+                        workspace=workspace,
+                        backend=backend,
+                    )
+                else:
+                    # Also taken when the final epoch stalls above its
+                    # target: the dead ends' conceptual degrees let
+                    # inactive nodes hold more than lambda in total, and
+                    # pushing every holder is always legal.
+                    chunked_sweep(
+                        state,
+                        stop_at=target,
+                        workspace=workspace,
+                        backend=backend,
+                    )
                 _check_budget(state, budget)
                 if trace is not None:
                     trace.maybe_record(
@@ -433,7 +468,8 @@ def _run_block(
     epoch_r_max_arr = np.asarray(epoch_r_maxes)
 
     num_rows = state.num_rows
-    dense_threshold = DENSE_SWEEP_FRACTION * n
+    dense_nodes = DENSE_SWEEP_FRACTION * n
+    dense_edges = DENSE_SWEEP_FRACTION * m
     phase = np.full(num_rows, _QUEUE, dtype=np.int8)
     # 1-based once scanning; 0 while queueing, which doubles as the
     # stage key (epoch thresholds are 1-based, the queue threshold 0).
@@ -519,38 +555,46 @@ def _run_block(
         num_active = np.count_nonzero(masks, axis=1)
 
         # Per-row decision, vectorised over the block: a row either
-        # pushes this round (local or global, by its own frontier
-        # density) or takes a push-free transition and retries.
+        # pushes this round (local or chunked, by its own frontier's
+        # node and edge counts) or takes a push-free transition and
+        # retries.
         nonempty = num_active > 0
+        dense = num_active > dense_nodes
+        narrow = nonempty & ~dense
+        if narrow.any():
+            dense |= narrow & (masks @ graph.out_degree > dense_edges)
         if status["queue"]:
             in_queue = stages == 0
             push_local = np.where(
                 in_queue,
                 nonempty & (num_active <= scan_threshold),
-                nonempty & (num_active <= dense_threshold),
+                nonempty & ~dense,
             )
-            push_global = ~in_queue & (num_active > dense_threshold)
+            push_global = ~in_queue & dense
             queue_exit = in_queue & ~push_local
             scan_stall = ~in_queue & ~nonempty
             for row in live[queue_exit]:
                 enter_scan(int(row))
         else:
             in_queue = None
-            push_local = nonempty & (num_active <= dense_threshold)
-            push_global = num_active > dense_threshold
+            push_local = nonempty & ~dense
+            push_global = dense
             scan_stall = ~nonempty
         if scan_stall.any():
-            for row in live[scan_stall]:
-                # "pushed == 0": refresh, leave the while loop, and
-                # step into the next epoch (which always bumps).
-                row = int(row)
+            for position in np.flatnonzero(scan_stall):
+                # No active node: refresh, leave the while loop, and
+                # step into the next epoch (which always bumps) — or,
+                # stalled above the final target, push every holder.
+                row = int(live[position])
                 state.refresh_r_sum(row)
-                if epoch[row] == epoch_num:
-                    retire(row)
-                else:
+                if epoch[row] < epoch_num:
                     epoch[row] += 1
                     state.epochs[row] += 1
                     advance_epochs(row)
+                elif state.r_sum[row] <= m * epoch_r_maxes[-1]:
+                    retire(row)
+                else:
+                    push_global[position] = True
 
         if push_local.any():
             block_frontier_push(
@@ -558,8 +602,9 @@ def _run_block(
                 workspace=workspace, backend=backend,
             )
         if push_global.any():
-            block_global_sweep(
-                state, live[push_global], count_all_edges=False,
+            block_chunked_sweep(
+                state, live[push_global],
+                stop_at=m * epoch_r_max_arr[stages[push_global] - 1],
                 workspace=workspace, backend=backend,
             )
 

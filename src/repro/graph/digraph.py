@@ -21,13 +21,41 @@ to relabel arbitrary ids.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro.errors import GraphConstructionError, NodeNotFoundError
 
-__all__ = ["DiGraph"]
+__all__ = ["DiGraph", "PushChunks", "CHUNK_EDGE_BUDGET"]
+
+#: Work budget of one chunk of the chunked-asynchronous scan
+#: (:func:`repro.core.kernels.chunked_sweep`), counted as out-edges plus
+#: one per node.  ~32k keeps a chunk's index slice, share vector and the
+#: residue entries it touches L2-sized; far smaller chunks pay more
+#: per-chunk interpreter overhead than the freshness they add.
+CHUNK_EDGE_BUDGET = 32_768
+
+
+class PushChunks(NamedTuple):
+    """Contiguous node ranges of about equal work, for the chunked scan.
+
+    ``chunks`` holds one ``(begin, end, indptr, indices, weights, dead)``
+    tuple per range of nodes ``[begin, end)``: ``indptr`` is the range's
+    out-CSR row pointer rebased to 0 (``int32``, as scipy's sparse
+    kernels require it to match ``indices``), ``indices`` and
+    ``weights`` are views of the graph's ``out_indices`` and of one
+    shared unit-weight buffer, and ``dead`` lists the range's dead ends.
+    The out-CSR rows of a range are the CSC columns of its ``P^T``
+    block, so one ``csc_matvec`` over them scatters the range's
+    degree-scaled residues.  ``inv_degree`` is ``1 / d_v`` (0 for dead
+    ends).  No array here is ``O(m)``: the edge data are views.
+    """
+
+    chunks: tuple[
+        tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray], ...
+    ]
+    inv_degree: np.ndarray
 
 
 class DiGraph:
@@ -68,6 +96,7 @@ class DiGraph:
         "_dead_ends",
         "_pt_matrix",
         "_edge_sources",
+        "_push_chunks",
     )
 
     def __init__(
@@ -98,6 +127,7 @@ class DiGraph:
         self._dead_ends: np.ndarray | None = None
         self._pt_matrix = None
         self._edge_sources: np.ndarray | None = None
+        self._push_chunks: PushChunks | None = None
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -315,20 +345,35 @@ class DiGraph:
         matrix = self.transition_matrix_transpose()
         return matrix.indptr, matrix.indices, matrix.data
 
+    def push_chunks(self) -> PushChunks:
+        """Cached chunk table of the chunked-asynchronous scan.
+
+        Cuts the node range where the running count of out-edges plus
+        nodes crosses multiples of :data:`CHUNK_EDGE_BUDGET` (read when
+        the table is first built), so every chunk carries about equal
+        work; a node whose degree alone exceeds the budget gets a chunk
+        of its own, and a long run of dead ends can form a chunk with
+        no edges.
+        """
+        if self._push_chunks is None:
+            self._push_chunks = self._build_push_chunks(CHUNK_EDGE_BUDGET)
+        return self._push_chunks
+
     def warm_push_caches(self) -> "DiGraph":
         """Materialise every cached artefact the push kernels read.
 
         Touches the degree/dead-end arrays, the flattened
-        :attr:`edge_sources` gather index, and the transposed
-        transition matrix, so a serving engine (or a benchmark that
-        wants construction out of its timed region) pays them once up
-        front instead of lazily inside the first query.  Returns
+        :attr:`edge_sources` gather index, the transposed transition
+        matrix and the chunk table, so a serving engine (or a benchmark
+        that wants construction out of its timed region) pays them once
+        up front instead of lazily inside the first query.  Returns
         ``self`` for chaining.
         """
         self.out_degree
         self.dead_ends
         self.edge_sources
         self.transition_matrix_transpose()
+        self.push_chunks()
         return self
 
     def adopt_push_caches(
@@ -410,6 +455,39 @@ class DiGraph:
             raise NodeNotFoundError(
                 f"node {v} is outside [0, {self._n}) for graph {self._name!r}"
             )
+
+    def _build_push_chunks(self, budget: int) -> PushChunks:
+        indptr = self._out_indptr
+        work = indptr + np.arange(self._n + 1, dtype=np.int64)
+        total = int(work[-1])
+        num_chunks = max(1, -(-total // budget))
+        marks = np.arange(1, num_chunks, dtype=np.int64) * total // num_chunks
+        cuts = np.searchsorted(work, marks, side="left")
+        bounds = np.unique(np.concatenate(([0], cuts, [self._n])))
+        weights = np.ones(int(np.diff(indptr[bounds]).max(initial=0)))
+        weights.flags.writeable = False
+        dead = self.dead_ends
+        dead_cuts = np.searchsorted(dead, bounds)
+        chunks = []
+        for k in range(bounds.shape[0] - 1):
+            begin, end = int(bounds[k]), int(bounds[k + 1])
+            low, high = int(indptr[begin]), int(indptr[end])
+            rebased = (indptr[begin : end + 1] - low).astype(np.int32)
+            rebased.flags.writeable = False
+            chunks.append(
+                (
+                    begin,
+                    end,
+                    rebased,
+                    self._out_indices[low:high],
+                    weights[: high - low],
+                    dead[dead_cuts[k] : dead_cuts[k + 1]],
+                )
+            )
+        inv_degree = np.zeros(self._n, dtype=np.float64)
+        np.divide(1.0, self.out_degree, out=inv_degree, where=self.out_degree > 0)
+        inv_degree.flags.writeable = False
+        return PushChunks(tuple(chunks), inv_degree)
 
     def _ensure_in_csr(self) -> None:
         if self._in_indptr is not None:

@@ -77,6 +77,34 @@ def small_random_graphs():
     return graphs
 
 
+@pytest.fixture
+def chunked_graphs(monkeypatch):
+    """200-node graphs whose chunk tables split into many chunks.
+
+    Shrinks the chunk work budget (edges plus nodes per chunk) to 32,
+    then builds fresh graphs — the table is cached on first use, so a
+    graph shared with other tests would keep its default single chunk.
+    ``dead-ends`` has dead ends spread through the id range plus a
+    100-node dead tail, which the small budget cuts into chunks with no
+    edges; ``self-loops`` keeps a self-loop on every third node.
+    """
+    monkeypatch.setattr("repro.graph.digraph.CHUNK_EDGE_BUDGET", 32)
+    base = power_law_digraph(
+        200, 1400, rng=np.random.default_rng(2021), name="chunked"
+    )
+    sources, targets = base.edge_array()
+    edges = list(zip(sources.tolist(), targets.tolist()))
+    dead = [(u, v) for u, v in edges if u < 100 and u % 7 != 3]
+    loops = edges + [(v, v) for v in range(0, 200, 3)]
+    return {
+        "plain": base,
+        "dead-ends": from_edges(dead, num_nodes=200, name="dead-ends"),
+        "self-loops": from_edges(
+            loops, num_nodes=200, drop_self_loops=False, name="self-loops"
+        ),
+    }
+
+
 def assert_close(a, b, atol=1e-10, msg=""):
     """Array closeness helper with a tight default tolerance."""
     np.testing.assert_allclose(a, b, atol=atol, rtol=0, err_msg=msg)

@@ -13,15 +13,19 @@ graphs via hypothesis.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernels import (
+    block_chunked_sweep,
     block_frontier_push,
     block_global_sweep,
     block_sweep_active,
+    chunked_sweep,
     frontier_push,
     global_sweep,
     sweep_active,
@@ -30,6 +34,7 @@ from repro.core.powerpush import PowerPushConfig, power_push, power_push_block
 from repro.core.residues import BlockPushState, PushState
 from repro.core.workspace import Workspace
 from repro.errors import ConvergenceError, ParameterError
+from repro.graph import digraph
 from repro.graph.build import from_edges
 
 
@@ -190,6 +195,61 @@ class TestBlockKernels:
         block_rows_equal_states(block, states)
 
 
+class TestBlockChunkedSweep:
+    """Block chunked passes vs per-source passes, on many small chunks."""
+
+    @staticmethod
+    def _spread_states(graph, sources, policy):
+        rng = np.random.default_rng(9)
+        block = BlockPushState(graph, sources, dead_end_policy=policy)
+        states = []
+        for row, source in enumerate(sources):
+            state = PushState(graph, source, dead_end_policy=policy)
+            state.residue[:] = rng.random(graph.num_nodes) / graph.num_nodes
+            state.refresh_r_sum()
+            block.residue[row] = state.residue
+            block.refresh_r_sum(row)
+            states.append(state)
+        return block, states
+
+    @pytest.mark.parametrize("policy", ["redirect-to-source", "uniform-teleport"])
+    def test_per_row_stops_match_single_source(self, chunked_graphs, policy):
+        for graph in chunked_graphs.values():
+            block, states = self._spread_states(graph, [0, 3, 8, 150], policy)
+            # Row 0 never stops early; the others stop after a growing
+            # share of their mass has been pushed.
+            stop_at = block.r_sum * np.array([0.0, 0.99, 0.9, 0.5])
+            for state, target in zip(states, stop_at):
+                chunked_sweep(state, stop_at=float(target))
+            block_chunked_sweep(
+                block, np.arange(4), stop_at=stop_at, workspace=Workspace()
+            )
+            block_rows_equal_states(block, states)
+            for row, state in enumerate(states):
+                assert block.pushes[row] == state.counters.pushes
+                assert (
+                    block.residue_updates[row]
+                    == state.counters.residue_updates
+                )
+
+    def test_row_subset_without_stops(self, chunked_graphs):
+        graph = chunked_graphs["dead-ends"]
+        block, states = self._spread_states(
+            graph, [1, 2, 3], "redirect-to-source"
+        )
+        block_chunked_sweep(block, np.asarray([2, 0]))
+        chunked_sweep(states[0])
+        chunked_sweep(states[2])
+        block_rows_equal_states(block, states)
+
+    @pytest.mark.parametrize("policy", ["redirect-to-source", "uniform-teleport"])
+    def test_solver_rows_bitwise_equal(self, chunked_graphs, policy):
+        for graph in chunked_graphs.values():
+            TestPowerPushBlockEquivalence._assert_equivalent(
+                graph, [0, 5, 57, 120, 199], policy=policy
+            )
+
+
 GRAPH_CASES = [
     ("paper", None),
     ("dead-star", None),
@@ -329,25 +389,31 @@ def random_graph_and_sources(draw):
     policy=st.sampled_from(["redirect-to-source", "uniform-teleport"]),
     l1=st.sampled_from([1e-3, 1e-5, 1e-8]),
     alpha=st.sampled_from([0.1, 0.2, 0.5]),
+    chunk_budget=st.sampled_from([digraph.CHUNK_EDGE_BUDGET, 4]),
 )
-def test_block_rows_identical_to_independent_solves(case, policy, l1, alpha):
+def test_block_rows_identical_to_independent_solves(
+    case, policy, l1, alpha, chunk_budget
+):
     """power_push_block rows == independent power_push runs, bitwise."""
     graph, sources = case
-    block = power_push_block(
-        graph,
-        sources,
-        alpha=alpha,
-        l1_threshold=l1,
-        dead_end_policy=policy,
-    )
-    for source, row in zip(sources, block):
-        single = power_push(
+    # The chunk table is built on first use, inside the solves below; a
+    # budget of 4 cuts these small graphs into many chunks.
+    with mock.patch.object(digraph, "CHUNK_EDGE_BUDGET", chunk_budget):
+        block = power_push_block(
             graph,
-            source,
+            sources,
             alpha=alpha,
             l1_threshold=l1,
             dead_end_policy=policy,
         )
-        assert np.array_equal(single.estimate, row.estimate)
-        assert np.array_equal(single.residue, row.residue)
-        assert single.counters.as_dict() == row.counters.as_dict()
+        for source, row in zip(sources, block):
+            single = power_push(
+                graph,
+                source,
+                alpha=alpha,
+                l1_threshold=l1,
+                dead_end_policy=policy,
+            )
+            assert np.array_equal(single.estimate, row.estimate)
+            assert np.array_equal(single.residue, row.residue)
+            assert single.counters.as_dict() == row.counters.as_dict()
