@@ -14,14 +14,11 @@ Also runnable as a script — the CI smoke step and the
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke
 
 The smoke run times block vs per-source ``batch_query`` at B in
-{8, 32} — plus every requested kernel backend (numpy reference, numba
-when installed; warm-up runs excluded from the timings) on the same
-workload — writes ``results/BENCH_kernels.json`` (speedup, ns/edge,
-scratch-allocation counts, per-backend seconds and speedups — uploaded
-as a CI artifact next to ``BENCH_serving.json``), and exits nonzero
-only when an answer diverges: a block row from its per-source
-baseline, or a backend beyond the 1e-9 L1 tolerance from the numpy
-reference.  Correctness blocks, timing informs.
+{8, 32}, writes ``results/BENCH_kernels.json`` (speedup, ns/edge,
+scratch-allocation counts — uploaded as a CI artifact next to
+``BENCH_serving.json``), and exits nonzero only when a block row
+diverges from its per-source baseline.  Correctness blocks, timing
+informs.
 """
 
 from __future__ import annotations
@@ -168,14 +165,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument(
-        "--backends",
-        default="auto",
-        help=(
-            "comma-separated kernel backends to compare "
-            "(default 'auto': numpy plus numba when importable)"
-        ),
-    )
-    parser.add_argument(
         "--out",
         type=Path,
         default=DEFAULT_JSON,
@@ -202,7 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         alpha=args.alpha,
         seed=args.seed,
         repeats=args.repeats,
-        backends=args.backends,
     )
     print(report.render())
     path = report.write_json(args.out)

@@ -1,9 +1,9 @@
 """repro.analysis: project-invariant static checks gating CI.
 
 An AST-based checker for the invariants this codebase is built on but
-Python cannot express: (seed, source) determinism, numpy/numba backend
-parity, registry/signature sync, version-stamped memoisation, writer
-lock discipline, and workspace-pooled scratch in kernels.
+Python cannot express: (seed, source) determinism, registry/signature
+sync, version-stamped memoisation, writer lock discipline, and
+workspace-pooled scratch in kernels.
 
 Run it as ``repro-ppr lint`` or ``python -m repro.analysis``.  Rules
 plug in through :func:`repro.analysis.rules.register_rule`; see

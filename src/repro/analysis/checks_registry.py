@@ -1,9 +1,9 @@
-"""Cross-module rules: backend parity and registry/signature sync.
+"""Cross-module rule: registry/signature sync.
 
-These are project-scope rules: they anchor on specific modules
-(``repro.backends.*``, ``repro.api.registry``, ``repro.core.kernels``)
-and cross-reference their ASTs.  When the corpus does not contain the
-anchor modules (e.g. an ad-hoc single-file lint), they report nothing.
+A project-scope rule: it anchors on ``repro.api.registry`` and
+cross-references the ASTs of the solver modules it registers.  When
+the corpus does not contain the registry (e.g. an ad-hoc single-file
+lint), it reports nothing.
 """
 
 from __future__ import annotations
@@ -20,156 +20,7 @@ from repro.analysis.rules import (
     register_rule,
 )
 
-_REFERENCE_BACKEND_MODULE = "repro.backends.numpy_backend"
-_COMPILED_BACKEND_MODULE = "repro.backends.numba_backend"
-_KERNELS_MODULE = "repro.core.kernels"
 _REGISTRY_MODULE = "repro.api.registry"
-
-
-def _signature_tuple(
-    fn: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> tuple[tuple[str, ...], tuple[str, ...], bool, bool]:
-    """(positional names, kw-only names, *args?, **kwargs?) minus self."""
-    args = fn.args
-    positional = [arg.arg for arg in (*args.posonlyargs, *args.args)]
-    if positional and positional[0] in ("self", "cls"):
-        positional = positional[1:]
-    kwonly = [arg.arg for arg in args.kwonlyargs]
-    return (
-        tuple(positional),
-        tuple(kwonly),
-        args.vararg is not None,
-        args.kwarg is not None,
-    )
-
-
-def _backend_classes(file: SourceFile) -> list[ast.ClassDef]:
-    assert file.tree is not None
-    found = []
-    for node in file.tree.body:
-        if not isinstance(node, ast.ClassDef):
-            continue
-        bases = {dotted_name(base) for base in node.bases}
-        if any(
-            base is not None and base.split(".")[-1] == "KernelBackend"
-            for base in bases
-        ):
-            found.append(node)
-    return found
-
-
-def _public_methods(cls: ast.ClassDef) -> dict[str, ast.FunctionDef]:
-    return {
-        node.name: node
-        for node in cls.body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-
-
-@register_rule
-class BackendParityRule(Rule):
-    id = "backend-parity"
-    summary = (
-        "every kernel of the numpy reference backend exists on the "
-        "numba backend with a matching signature, and every public "
-        "kernel entry point threads backend="
-    )
-    invariant = (
-        "Backends are interchangeable: a compiled backend implements "
-        "exactly the reference kernel set with identical signatures, "
-        "and every public kernel in repro.core.kernels dispatches "
-        "through an optional backend= parameter."
-    )
-    scope = "project"
-
-    def check_project(self, corpus: Corpus) -> Iterable[Finding]:
-        yield from self._check_class_parity(corpus)
-        yield from self._check_kernel_entry_points(corpus)
-
-    def _check_class_parity(self, corpus: Corpus) -> Iterable[Finding]:
-        reference = corpus.by_module(_REFERENCE_BACKEND_MODULE)
-        compiled = corpus.by_module(_COMPILED_BACKEND_MODULE)
-        if reference is None or compiled is None:
-            return
-        if reference.tree is None or compiled.tree is None:
-            return
-        ref_classes = _backend_classes(reference)
-        comp_classes = _backend_classes(compiled)
-        if not ref_classes or not comp_classes:
-            return
-        ref_cls, comp_cls = ref_classes[0], comp_classes[0]
-        ref_methods = _public_methods(ref_cls)
-        comp_methods = _public_methods(comp_cls)
-        for name, ref_fn in sorted(ref_methods.items()):
-            comp_fn = comp_methods.get(name)
-            if comp_fn is None:
-                yield self.finding(
-                    compiled,
-                    comp_cls,
-                    f"backend {comp_cls.name} is missing kernel "
-                    f"{name}() defined by the reference backend "
-                    f"{ref_cls.name}",
-                )
-                continue
-            if _signature_tuple(ref_fn) != _signature_tuple(comp_fn):
-                yield self.finding(
-                    compiled,
-                    comp_fn,
-                    f"kernel {comp_cls.name}.{name}() signature "
-                    f"diverges from the reference "
-                    f"{ref_cls.name}.{name}(): backends must be "
-                    f"drop-in interchangeable",
-                )
-        for name in sorted(set(comp_methods) - set(ref_methods)):
-            yield self.finding(
-                compiled,
-                comp_methods[name],
-                f"backend {comp_cls.name} defines public kernel "
-                f"{name}() absent from the reference {ref_cls.name}: "
-                f"extend the reference (and the KernelBackend "
-                f"contract) first",
-            )
-
-    def _check_kernel_entry_points(self, corpus: Corpus) -> Iterable[Finding]:
-        kernels = corpus.by_module(_KERNELS_MODULE)
-        if kernels is None or kernels.tree is None:
-            return
-        exported = _module_all(kernels.tree)
-        for node in kernels.tree.body:
-            if not isinstance(node, ast.FunctionDef):
-                continue
-            if exported is not None and node.name not in exported:
-                continue
-            positional, kwonly, _, _ = _signature_tuple(node)
-            if not positional or positional[0] != "state":
-                # Helpers like frontier_edge_targets operate below the
-                # backend dispatch layer; only state-first kernels are
-                # public dispatch points.
-                continue
-            if "backend" not in (*positional, *kwonly):
-                yield self.finding(
-                    kernels,
-                    node,
-                    f"public kernel {node.name}() does not accept "
-                    f"backend=; every kernel entry point must thread "
-                    f"the pluggable-backend dispatch",
-                )
-
-
-def _module_all(tree: ast.Module) -> set[str] | None:
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-        if "__all__" not in targets:
-            continue
-        if isinstance(node.value, (ast.List, ast.Tuple)):
-            return {
-                elt.value
-                for elt in node.value.elts
-                if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
-            }
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 A rule is a subclass of :class:`Rule` registered with
 :func:`register_rule`.  Each one encodes a project invariant the
-language cannot express — determinism, backend parity, lock discipline
+language cannot express — determinism, registry sync, lock discipline
 — and reports violations as :class:`~repro.analysis.findings.Finding`
 objects.  Two scopes exist:
 
@@ -11,10 +11,10 @@ objects.  Two scopes exist:
     the rule walks that file's AST in isolation.
 ``project``
     :meth:`Rule.check_project` is called once with the whole corpus;
-    the rule cross-references modules (e.g. the numpy backend against
-    the numba backend).  When the corpus lacks the modules a project
-    rule anchors on, the rule reports nothing — linting a lone file
-    must not fabricate parity violations.
+    the rule cross-references modules (e.g. the solver registry against
+    the solver signatures).  When the corpus lacks the modules a
+    project rule anchors on, the rule reports nothing — linting a lone
+    file must not fabricate sync violations.
 
 Third-party rules plug in through :func:`register_rule` exactly like
 the built-ins in the ``checks_*`` modules; duplicate ids raise.

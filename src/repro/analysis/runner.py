@@ -15,9 +15,9 @@ from typing import Iterable, Sequence, TextIO
 
 # Importing the check modules registers the built-in rules.
 from repro.analysis import (  # noqa: F401  (imported for registration)
-    checks_backends,
     checks_determinism,
     checks_durability,
+    checks_registry,
     checks_serving,
     reporters,
 )
@@ -240,7 +240,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="repro-analysis",
         description=(
             "Project-invariant static checker for the repro PPR stack "
-            "(determinism, backend parity, lock discipline)."
+            "(determinism, workspace discipline, lock discipline)."
         ),
     )
     add_lint_arguments(parser)

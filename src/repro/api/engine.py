@@ -82,7 +82,6 @@ from repro.api.registry import (
     per_source_rng,
     resolve_method,
 )
-from repro.backends import KernelBackend, resolve_backend
 from repro.bepi.blockelim import BePIIndex, build_bepi_index
 from repro.core.incremental import IncrementalPPR
 from repro.core.result import PPRResult
@@ -260,16 +259,6 @@ class PPREngine:
         Default dead-end rule for solvers that accept one.
     walk_index, bepi_index:
         Optionally adopt pre-built indexes instead of building lazily.
-    backend:
-        Kernel backend injected into every query of a backend-capable
-        method (PowerPush and friends): a registered name
-        (``"numpy"``/``"numba"``) or a
-        :class:`~repro.backends.KernelBackend` instance.  ``None``
-        leaves the choice to each solver's own resolution (the
-        ``REPRO_PPR_BACKEND`` environment variable, defaulting to the
-        NumPy reference) — so explicit-constructor > env var > default.
-        Resolution happens here, so an unknown name fails fast and a
-        missing ``numba`` warns once at engine construction.
     reorder:
         Cache-aware node reordering: ``"degree"`` or ``"slashburn"``
         (see :func:`repro.graph.transforms.reorder_for_locality`), or
@@ -295,7 +284,6 @@ class PPREngine:
         dead_end_policy: str = "redirect-to-source",
         walk_index: WalkIndex | None = None,
         bepi_index: BePIIndex | None = None,
-        backend: str | KernelBackend | None = None,
         reorder: str | ReorderResult | None = None,
     ) -> None:
         self._reorder: ReorderResult | None = None
@@ -311,10 +299,6 @@ class PPREngine:
             else:
                 self._reorder = reorder_for_locality(graph, strategy=reorder)
             graph = self._reorder.graph
-        #: resolved kernel backend, or None to defer to the env default
-        self.backend: KernelBackend | None = (
-            resolve_backend(backend) if backend is not None else None
-        )
         if isinstance(graph, DynamicGraph):
             self._dynamic: DynamicGraph | None = graph
             self._static_graph: DiGraph | None = None
@@ -901,8 +885,6 @@ class PPREngine:
             merged.setdefault("alpha", self.alpha)
         if spec.accepts("dead_end_policy"):
             merged.setdefault("dead_end_policy", self.dead_end_policy)
-        if spec.accepts("backend") and self.backend is not None:
-            merged.setdefault("backend", self.backend)
         internal = [self._internal_source(s) for s in sources]
         with self._lock:
             self._sync_caches()
@@ -938,8 +920,6 @@ class PPREngine:
         if method is None:
             params.setdefault("alpha", self.alpha)
             params.setdefault("dead_end_policy", self.dead_end_policy)
-            if self.backend is not None:
-                params.setdefault("backend", self.backend)
             answer = top_k_ppr(
                 self.graph, self._internal_source(source), k, **params
             )
@@ -1231,8 +1211,6 @@ class PPREngine:
             merged.setdefault("alpha", self.alpha)
         if spec.accepts("dead_end_policy"):
             merged.setdefault("dead_end_policy", self.dead_end_policy)
-        if spec.accepts("backend") and self.backend is not None:
-            merged.setdefault("backend", self.backend)
         if spec.needs_rng and merged.get("rng") is None:
             seed = merged.pop("seed", None)
             if seed is not None:

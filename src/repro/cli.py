@@ -45,8 +45,9 @@ smoke run CI gates on (writes ``results/BENCH_kernels.json``)::
 
     repro-ppr bench-kernels --batch-sizes 8,32
 
-Run the project-invariant static checker (determinism, backend parity,
-lock discipline — the same gate CI runs; see CONTRIBUTING.md)::
+Run the project-invariant static checker (determinism, workspace
+discipline, lock discipline — the same gate CI runs; see
+CONTRIBUTING.md)::
 
     repro-ppr lint src/repro
     repro-ppr lint --list-rules
@@ -119,15 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the stochastic methods (reproducible shell queries)",
     )
     query.add_argument(
-        "--backend",
-        default=None,
-        metavar="BACKEND",
-        help=(
-            "kernel backend (numpy | numba); default: the "
-            "REPRO_PPR_BACKEND environment variable, else numpy"
-        ),
-    )
-    query.add_argument(
         "--reorder",
         choices=("degree", "slashburn"),
         default=None,
@@ -186,15 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     kernels.add_argument("--seed", type=int, default=2021)
     kernels.add_argument(
         "--repeats", type=int, default=3, help="timing runs (best is kept)"
-    )
-    kernels.add_argument(
-        "--backends",
-        default="auto",
-        metavar="LIST",
-        help=(
-            "comma-separated kernel backends to compare (default 'auto': "
-            "numpy plus numba when importable)"
-        ),
     )
     kernels.add_argument(
         "--out",
@@ -419,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help=(
             "run the project-invariant static checker "
-            "(determinism, backend parity, lock discipline)"
+            "(determinism, workspace discipline, lock discipline)"
         ),
     )
     add_lint_arguments(lint)
@@ -456,8 +439,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_list() -> int:
-    from repro.backends import available_backends, registered_backends
-
     print("experiments:")
     for key, (description, _) in EXPERIMENTS.items():
         print(f"  {key}: {description}")
@@ -468,11 +449,6 @@ def _cmd_list() -> int:
     for spec in solver_specs():
         aliases = f" (aliases: {', '.join(spec.aliases)})" if spec.aliases else ""
         print(f"  {spec.name} [{spec.kind}]{aliases}: {spec.summary}")
-    print("backends:")
-    usable = set(available_backends())
-    for name in registered_backends():
-        status = "available" if name in usable else "not installed (falls back to numpy)"
-        print(f"  {name}: {status}")
     return 0
 
 
@@ -542,7 +518,6 @@ def _cmd_bench_kernels(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         seed=args.seed,
         repeats=args.repeats,
-        backends=args.backends,
     )
     print(report.render())
     path = report.write_json(args.out)
@@ -879,7 +854,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             dynamic,
             alpha=args.alpha,
             seed=args.seed,
-            backend=args.backend,
             reorder=args.reorder,
         )
         result = engine.query(
@@ -894,7 +868,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
         graph,
         alpha=args.alpha,
         seed=args.seed,
-        backend=args.backend,
         reorder=args.reorder,
     )
     # Offer the full unified parameter set; the spec keeps what it knows.

@@ -16,11 +16,7 @@ This is the *faithful scalar* implementation: one Python-level push per
 node, matching the pseudo-code line for line.  It is intended for
 correctness tests, teaching, and small graphs; the benchmarks use the
 vectorised modes in :mod:`repro.core.fifo_fwdpush` and
-:mod:`repro.core.powerpush`.  It deliberately takes no ``backend``
-parameter: the pluggable kernel backends (:mod:`repro.backends`)
-accelerate the *bulk* push kernels, while this loop is the reference
-the golden traces replay push by push — swap to the vectorised modes
-(which do accept ``backend=``) for speed.
+:mod:`repro.core.powerpush`.
 """
 
 from __future__ import annotations

@@ -74,67 +74,27 @@ constants, not the asymptotics:
   row bitwise-identical to an independent single-source push while the
   index arithmetic is shared.  Its ``(B x total)`` staging matrices
   make it the block path's largest memory user.
-* :func:`block_sweep_active` applies the global/local switch *per
-  row*: hot rows (wide frontiers) join the mat-mat scan while cold
-  rows (narrow frontiers) join the union gather — the paper's density
-  trade-off, decided independently for every source in the block.
 
 Scratch buffers: the frontier kernels accept an optional
 :class:`~repro.core.workspace.Workspace`; callers that push in a loop
 (the solvers) thread one through so the frontier-sized temporaries are
-reused instead of reallocated every call.  This, the bitwise gather
-discipline above, and the ``backend=`` threading below are enforced
-mechanically: ``repro-ppr lint`` (``repro.analysis``) checks
-``workspace-discipline``, ``no-column-fancy-gather``, and
-``backend-parity`` on every CI run — see CONTRIBUTING.md for the
-invariant -> rule table.
+reused instead of reallocated every call.  This and the bitwise gather
+discipline above are enforced mechanically: ``repro-ppr lint``
+(``repro.analysis``) checks ``workspace-discipline`` and
+``no-column-fancy-gather`` on every CI run — see CONTRIBUTING.md for
+the invariant -> rule table.
 
-Pluggable backends and what the compiled path removes
------------------------------------------------------
-Every kernel accepts an optional ``backend``
-(:class:`~repro.backends.KernelBackend`); ``None`` — the default, and
-what the ``numpy`` reference backend resolves to — runs the NumPy
-bodies in this module, so golden traces stay byte-identical.  A
-compiled backend (``numba``) replaces the *constant-factor* terms of
-the cost model above, not its asymptotics:
-
-* the frontier push's three ``O(total)`` staging passes (position
-  cumsum, target gather, share ``repeat``) and the ``O(n)``
-  ``bincount`` scatter collapse into **one** loop over the frontier's
-  CSR ranges — each edge is touched exactly once and the share stays
-  in a register, so a sparse late-epoch frontier costs
-  ``O(sum of frontier degrees)`` with no ``O(n)``-sized scatter term
-  and no per-call NumPy dispatch overhead;
-* the global sweep's mat-vec and its separate ``O(n)`` reserve and
-  billing passes fuse into one loop over ``P^T``;
-* the block kernels drop the union-frontier staging entirely — the
-  ``(B x total)`` share/weight matrices the 2-D ``bincount`` scatter
-  needs (zero-filled even where a row is inactive) are replaced by
-  per-row loops that only walk the row's own active ranges, run in
-  parallel over the row dimension (``prange``);
-* the chunked pass is left alone: each chunk already runs as one scipy
-  loop, so the compiled backend reuses the reference body.
-
-Empty frontiers are handled *before* backend dispatch: a push with no
-nodes (or a block push with no active mask) returns immediately
-without requesting a single workspace buffer, so late epochs that
-probe an exhausted frontier cost nothing on any backend.
+Empty frontiers: a push with no nodes (or a block push with no active
+mask) returns immediately without requesting a single workspace
+buffer, so late epochs that probe an exhausted frontier cost nothing.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.residues import BlockPushState, PushState
 from repro.core.workspace import Workspace
-
-if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    # Runtime import would be circular: repro.backends pulls in
-    # repro.core at its own import time.  Dispatch below only calls
-    # methods on the passed object, so the type is annotation-only.
-    from repro.backends.base import KernelBackend
 
 # scipy's compiled sparse mat-vec loops, called directly: at
 # serving-size graphs the dispatch layers of ``P^T.dot`` cost about as
@@ -154,7 +114,6 @@ __all__ = [
     "chunked_sweep",
     "block_global_sweep",
     "block_frontier_push",
-    "block_sweep_active",
     "block_chunked_sweep",
 ]
 
@@ -240,7 +199,6 @@ def global_sweep(
     state: PushState,
     *,
     count_all_edges: bool = True,
-    backend: "KernelBackend | None" = None,
 ) -> None:
     """One simultaneous push of every node — a Power-Iteration step.
 
@@ -255,13 +213,7 @@ def global_sweep(
         updates — the global approach touches every edge.  When False
         (SimFwdPush semantics) only the out-degrees of nodes holding
         residue are billed.
-    backend:
-        Optional non-reference :class:`~repro.backends.KernelBackend`
-        to run the sweep on; ``None`` runs the NumPy body below.
     """
-    if backend is not None:
-        backend.global_sweep(state, count_all_edges=count_all_edges)
-        return
     graph = state.graph
     r = state.residue
     alpha = state.alpha
@@ -299,21 +251,16 @@ def frontier_push(
     nodes: np.ndarray,
     *,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> None:
     """Simultaneously push exactly ``nodes`` (gather/scatter path).
 
     Contributions are based on the residues at entry; the pushed nodes'
     residues are zeroed first so self-loop edges re-deposit correctly.
 
-    An empty ``nodes`` returns before dispatching to any backend and
-    before requesting any workspace buffer (the empty-frontier fast
-    path late epochs rely on).
+    An empty ``nodes`` returns before requesting any workspace buffer
+    (the empty-frontier fast path late epochs rely on).
     """
     if nodes.shape[0] == 0:
-        return
-    if backend is not None:
-        backend.frontier_push(state, nodes, workspace=workspace)
         return
     graph = state.graph
     alpha = state.alpha
@@ -350,7 +297,6 @@ def sweep_active(
     dense_fraction: float = DENSE_SWEEP_FRACTION,
     threshold_vec: np.ndarray | None = None,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> int:
     """Push all currently-active nodes once; return how many were pushed.
 
@@ -371,14 +317,6 @@ def sweep_active(
         that sweep repeatedly at a fixed ``r_max`` (epoch loops) pass
         it to avoid recomputing the products every sweep.
     """
-    if backend is not None:
-        return backend.sweep_active(
-            state,
-            r_max,
-            dense_fraction=dense_fraction,
-            threshold_vec=threshold_vec,
-            workspace=workspace,
-        )
     graph = state.graph
     if threshold_vec is None:
         active = state.active_mask(r_max)
@@ -400,7 +338,6 @@ def chunked_sweep(
     *,
     stop_at: float = 0.0,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> None:
     """One chunked-asynchronous pass over every residue-holding node.
 
@@ -423,9 +360,6 @@ def chunked_sweep(
     is the same pass, and the mat-vec's gather is cheaper than the
     scatter.
     """
-    if backend is not None:
-        backend.chunked_sweep(state, stop_at=stop_at, workspace=workspace)
-        return
     graph = state.graph
     table = graph.push_chunks()
     if len(table.chunks) == 1:
@@ -558,7 +492,6 @@ def block_global_sweep(
     *,
     count_all_edges: bool = False,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> None:
     """One Power-Iteration step for every row in ``rows`` at once.
 
@@ -567,11 +500,6 @@ def block_global_sweep(
     is paid once for the whole block.
     """
     if rows.shape[0] == 0:
-        return
-    if backend is not None:
-        backend.block_global_sweep(
-            state, rows, count_all_edges=count_all_edges, workspace=workspace
-        )
         return
     graph = state.graph
     alpha = state.alpha
@@ -650,7 +578,6 @@ def block_frontier_push(
     masks: np.ndarray,
     *,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> None:
     """Push each row's own frontier through one shared gather/scatter.
 
@@ -670,13 +597,10 @@ def block_frontier_push(
     row contributes an exact ``+0.0`` there, so each row's result is
     bitwise what :func:`frontier_push` on its own frontier produces.
 
-    An empty ``rows`` (or all-empty ``masks``) returns before backend
-    dispatch without requesting any workspace buffer.
+    An empty ``rows`` (or all-empty ``masks``) returns without
+    requesting any workspace buffer.
     """
     if rows.shape[0] == 0:
-        return
-    if backend is not None:
-        backend.block_frontier_push(state, rows, masks, workspace=workspace)
         return
     graph = state.graph
     alpha = state.alpha
@@ -785,54 +709,12 @@ def block_frontier_push(
         state.note_r_sum_delta(row, -alpha * pushed_mass)
 
 
-def block_sweep_active(
-    state: BlockPushState,
-    rows: np.ndarray,
-    masks: np.ndarray,
-    *,
-    dense_fraction: float = DENSE_SWEEP_FRACTION,
-    workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
-) -> np.ndarray:
-    """Sweep each row once, switching global/local **per row**.
-
-    ``masks`` holds each row's activity mask (callers compute it
-    against the row's current threshold).  Rows whose frontier exceeds
-    ``dense_fraction * n`` join one block mat-mat scan; the rest join
-    one union gather/scatter — hot rows scan while cold rows push.
-    Returns the per-row active counts (0 marks a row that did not
-    push).
-    """
-    if backend is not None:
-        return backend.block_sweep_active(
-            state,
-            rows,
-            masks,
-            dense_fraction=dense_fraction,
-            workspace=workspace,
-        )
-    graph = state.graph
-    num_active = np.count_nonzero(masks, axis=1)
-    local = (num_active > 0) & (num_active <= dense_fraction * graph.num_nodes)
-    dense = num_active > dense_fraction * graph.num_nodes
-    if local.any():
-        block_frontier_push(
-            state, rows[local], masks[local], workspace=workspace
-        )
-    if dense.any():
-        block_global_sweep(
-            state, rows[dense], count_all_edges=False, workspace=workspace
-        )
-    return num_active
-
-
 def block_chunked_sweep(
     state: BlockPushState,
     rows: np.ndarray,
     *,
     stop_at: np.ndarray | None = None,
     workspace: Workspace | None = None,
-    backend: "KernelBackend | None" = None,
 ) -> None:
     """One :func:`chunked_sweep` pass for every row in ``rows`` at once.
 
@@ -849,11 +731,6 @@ def block_chunked_sweep(
     it).
     """
     if rows.shape[0] == 0:
-        return
-    if backend is not None:
-        backend.block_chunked_sweep(
-            state, rows, stop_at=stop_at, workspace=workspace
-        )
         return
     graph = state.graph
     table = graph.push_chunks()

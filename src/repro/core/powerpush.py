@@ -30,9 +30,9 @@ chunk rather than node granularity — and the pass stops as soon as the
 epoch target is met.  On a 1M-edge R-MAT graph this halves the residue
 updates of the synchronous sweep it replaced.  If the final epoch finds
 no active node while ``r_sum`` is still above lambda (the conceptual
-dead-end degrees allow that), it keeps running chunked passes, so the
-returned ``r_sum`` always meets lambda; the faithful mode stops there
-as Algorithm 3 does.
+dead-end degrees allow that), both modes keep pushing every node that
+holds residue — the vectorised mode by chunked passes, the faithful
+mode by scalar scans — so the returned ``r_sum`` always meets lambda.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from typing import Literal
 
 import numpy as np
 
-from repro.backends import KernelBackend, active_backend
 from repro.core.kernels import (
     DENSE_SWEEP_FRACTION,
     block_chunked_sweep,
@@ -115,7 +114,6 @@ def power_push(
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     trace: ConvergenceTrace | None = None,
     max_work_factor: float = 64.0,
-    backend: str | KernelBackend | None = None,
 ) -> PPRResult:
     """Answer a high-precision SSPPR query with PowerPush (Algorithm 3).
 
@@ -129,21 +127,14 @@ def power_push(
         constants (``epoch_num=8``, ``scan_threshold=n/4``).
     mode:
         ``"faithful"`` runs the scalar pseudo-code; ``"vectorized"``
-        (chosen by ``"auto"``) runs the push kernels on the selected
-        backend.
+        (chosen by ``"auto"``) runs the push kernels.
     max_work_factor:
         Safety multiplier on the theoretical sweep budget before a
         :class:`ConvergenceError` is raised.
-    backend:
-        Kernel backend name or instance for the vectorised mode
-        (``None`` consults ``REPRO_PPR_BACKEND``, defaulting to the
-        NumPy reference).  The faithful scalar mode always runs the
-        pseudo-code verbatim and ignores it.
     """
     check_alpha(alpha)
     check_source(graph, source)
     check_l1_threshold(l1_threshold)
-    kernel_backend = active_backend(backend)
     if config is None:
         config = PowerPushConfig()
     if mode == "auto":
@@ -166,14 +157,7 @@ def power_push(
     elif mode == "faithful":
         _run_faithful(state, l1_threshold, config, trace, max_work_factor)
     else:
-        _run_vectorized(
-            state,
-            l1_threshold,
-            config,
-            trace,
-            max_work_factor,
-            backend=kernel_backend,
-        )
+        _run_vectorized(state, l1_threshold, config, trace, max_work_factor)
 
     state.refresh_r_sum()
     if trace is not None:
@@ -231,10 +215,11 @@ def _run_faithful(
         for epoch in range(1, config.epoch_num + 1):
             state.counters.bump("epochs")
             epoch_r_max = l1_threshold ** (epoch / config.epoch_num) / m
+            scan_r_max = epoch_r_max
             while state.r_sum > m * epoch_r_max:
                 progressed = False
                 for v in range(n):
-                    if state.is_active(v, epoch_r_max):
+                    if state.is_active(v, scan_r_max):
                         state.push(v)
                         progressed = True
                         _check_budget(state, budget)
@@ -244,7 +229,13 @@ def _run_faithful(
                         state.counters.residue_updates, state.r_sum
                     )
                 if not progressed:
-                    break
+                    if epoch < config.epoch_num:
+                        break
+                    # The final epoch stalled above lambda: the dead
+                    # ends' conceptual degrees let inactive nodes hold
+                    # more than lambda in total, and pushing every
+                    # holder (r_max = 0) is always legal.
+                    scan_r_max = 0.0
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +247,6 @@ def _run_vectorized(
     config: PowerPushConfig,
     trace: ConvergenceTrace | None,
     max_work_factor: float,
-    backend: KernelBackend | None = None,
 ) -> None:
     graph = state.graph
     n, m = graph.num_nodes, graph.num_edges
@@ -273,7 +263,7 @@ def _run_vectorized(
         frontier = state.active_nodes(r_max)
         if frontier.shape[0] == 0 or frontier.shape[0] > scan_threshold:
             break
-        frontier_push(state, frontier, workspace=workspace, backend=backend)
+        frontier_push(state, frontier, workspace=workspace)
         state.counters.queue_appends += frontier.shape[0]
         _check_budget(state, budget)
         if trace is not None:
@@ -305,22 +295,14 @@ def _run_vectorized(
                     and int(np.dot(graph.out_degree, active)) <= dense_edges
                 ):
                     frontier_push(
-                        state,
-                        np.flatnonzero(active),
-                        workspace=workspace,
-                        backend=backend,
+                        state, np.flatnonzero(active), workspace=workspace
                     )
                 else:
                     # Also taken when the final epoch stalls above its
                     # target: the dead ends' conceptual degrees let
                     # inactive nodes hold more than lambda in total, and
                     # pushing every holder is always legal.
-                    chunked_sweep(
-                        state,
-                        stop_at=target,
-                        workspace=workspace,
-                        backend=backend,
-                    )
+                    chunked_sweep(state, stop_at=target, workspace=workspace)
                 _check_budget(state, budget)
                 if trace is not None:
                     trace.maybe_record(
@@ -346,7 +328,6 @@ def power_push_block(
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     max_work_factor: float = 64.0,
     workspace: Workspace | None = None,
-    backend: str | KernelBackend | None = None,
 ) -> list[PPRResult]:
     """Answer many high-precision SSPPR queries in one block solve.
 
@@ -373,7 +354,6 @@ def power_push_block(
     """
     check_alpha(alpha)
     check_l1_threshold(l1_threshold)
-    kernel_backend = active_backend(backend)
     sources = [check_source(graph, int(s)) for s in sources]
     if not sources:
         return []
@@ -401,14 +381,7 @@ def power_push_block(
     )
     if workspace is None:
         workspace = Workspace()
-    _run_block(
-        state,
-        l1_threshold,
-        config,
-        max_work_factor,
-        workspace,
-        backend=kernel_backend,
-    )
+    _run_block(state, l1_threshold, config, max_work_factor, workspace)
 
     elapsed = time.perf_counter() - started
     num_rows = state.num_rows
@@ -437,7 +410,6 @@ def _run_block(
     config: PowerPushConfig,
     max_work_factor: float,
     workspace: Workspace,
-    backend: KernelBackend | None = None,
 ) -> None:
     """Round-based block schedule; see :func:`power_push_block`.
 
@@ -599,13 +571,13 @@ def _run_block(
         if push_local.any():
             block_frontier_push(
                 state, live[push_local], masks[push_local],
-                workspace=workspace, backend=backend,
+                workspace=workspace,
             )
         if push_global.any():
             block_chunked_sweep(
                 state, live[push_global],
                 stop_at=m * epoch_r_max_arr[stages[push_global] - 1],
-                workspace=workspace, backend=backend,
+                workspace=workspace,
             )
 
         # Post-push bookkeeping, in the same order the single-source

@@ -343,14 +343,6 @@ class BlockPushState:
         """Adjust one row's cached ``r_sum`` (vectorised kernels)."""
         self._r_sum[row] += delta
 
-    def note_r_sum_deltas(self, rows: np.ndarray, deltas: np.ndarray) -> None:
-        """Adjust many rows' cached ``r_sum`` in one scatter.
-
-        ``rows`` must be distinct (the block kernels' contract); used
-        by compiled backends whose per-row masses arrive as an array.
-        """
-        self._r_sum[rows] += deltas
-
     @property
     def effective_out_degree(self) -> np.ndarray:
         """Shared conceptual out-degrees (see :func:`effective_out_degree`)."""

@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from repro.backends import KernelBackend
 from repro.core.mc_phase import monte_carlo_refine
 from repro.core.powerpush import PowerPushConfig, power_push
 from repro.core.refinement import refine_to_r_max
@@ -61,7 +60,6 @@ def speed_ppr(
     config: PowerPushConfig | None = None,
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
     allow_monte_carlo_shortcut: bool = True,
-    backend: "str | KernelBackend | None" = None,
 ) -> PPRResult:
     """Answer an approximate SSPPR query with SpeedPPR (Algorithm 4).
 
@@ -78,9 +76,6 @@ def speed_ppr(
         with ``K_v >= d_v`` works for *every* ``epsilon``.
     allow_monte_carlo_shortcut:
         Mirror the paper's ``m >= W`` fallback to plain Monte-Carlo.
-    backend:
-        Kernel backend for the PowerPush + refinement phase (threaded
-        straight through; the walk phase is backend-independent).
     """
     check_alpha(alpha)
     check_source(graph, source)
@@ -114,10 +109,9 @@ def speed_ppr(
         l1_threshold=l1_threshold,
         config=config,
         dead_end_policy=dead_end_policy,
-        backend=backend,
     )
     state = _state_from_result(graph, source, alpha, dead_end_policy, push_result)
-    refine_to_r_max(state, 1.0 / num_walks_w, backend=backend)
+    refine_to_r_max(state, 1.0 / num_walks_w)
 
     # Phase 2: Eq. 13-14 Monte-Carlo refinement.  After refinement
     # W_v <= d_v, so an index with K_v = d_v always suffices (tiny

@@ -71,7 +71,6 @@ def top_k_ppr(
     shrink_factor: float = 100.0,
     config: PowerPushConfig | None = None,
     dead_end_policy: DeadEndPolicy = "redirect-to-source",
-    backend=None,
 ) -> TopKResult:
     """Answer a top-k SSPPR query with a certified stopping rule.
 
@@ -83,10 +82,6 @@ def top_k_ppr(
         The adaptive schedule: start loose, divide the threshold by
         ``shrink_factor`` until the certificate holds or the floor is
         hit.
-    backend:
-        Kernel backend for the underlying PowerPush runs (name,
-        :class:`~repro.backends.KernelBackend`, or None for the
-        env-var/NumPy default).
     """
     check_alpha(alpha)
     check_source(graph, source)
@@ -110,7 +105,6 @@ def top_k_ppr(
             l1_threshold=l1_threshold,
             config=config,
             dead_end_policy=dead_end_policy,
-            backend=backend,
         )
         ranking = result.top_k(min(k + 1, graph.num_nodes))
         if len(ranking) <= k:

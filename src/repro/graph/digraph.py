@@ -337,10 +337,9 @@ class DiGraph:
     def pt_csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Raw ``(indptr, indices, data)`` of the cached ``P^T`` CSR.
 
-        Compiled kernel backends (:mod:`repro.backends.numba_backend`)
-        loop over these arrays directly instead of going through the
-        scipy matrix object, so the accessor keeps scipy types out of
-        the backend layer while sharing the one cached transpose.
+        Shared-memory graph images copy these arrays directly instead
+        of going through the scipy matrix object, sharing the one
+        cached transpose.
         """
         matrix = self.transition_matrix_transpose()
         return matrix.indptr, matrix.indices, matrix.data

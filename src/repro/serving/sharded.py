@@ -114,7 +114,6 @@ class WorkerConfig:
     cache_ttl: float | None = None
     window: float = 0.002
     max_batch: int = 64
-    backend: str | None = None
     #: Worker-side fault schedule (chaos runs only; empty in production).
     faults: tuple[FaultSpec, ...] = ()
     #: Version the worker's DynamicGraph overlay starts at.  Nonzero
@@ -178,7 +177,6 @@ def _worker_main(
             alpha=config.alpha,
             seed=config.seed,
             dead_end_policy=config.dead_end_policy,
-            backend=config.backend,
         )
         server = EngineServer(
             engine,
@@ -493,7 +491,7 @@ class ShardedDispatcher:
         Whether workers wrap the shared base in a per-process
         :class:`DynamicGraph` overlay so :meth:`apply_updates` works.
         Default: inferred from the graph argument.
-    alpha, seed, dead_end_policy, backend:
+    alpha, seed, dead_end_policy:
         Per-worker engine construction (identical in every shard —
         answers must not depend on placement).
     cache_capacity, cache_ttl, window, max_batch:
@@ -560,7 +558,6 @@ class ShardedDispatcher:
         alpha: float = 0.2,
         seed: int = 0,
         dead_end_policy: str = "redirect-to-source",
-        backend: str | None = None,
         cache_capacity: int = 4096,
         cache_ttl: float | None = None,
         window: float = 0.002,
@@ -648,7 +645,6 @@ class ShardedDispatcher:
             cache_ttl=cache_ttl,
             window=window,
             max_batch=max_batch,
-            backend=backend,
             initial_version=initial_version,
         )
         self._update_timeout = float(update_timeout)

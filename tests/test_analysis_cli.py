@@ -53,7 +53,7 @@ def test_lint_json_schema(tmp_path, capsys):
     assert document["checked_files"] == 1
     assert {rule["id"] for rule in document["rules"]} >= {
         "rng-discipline",
-        "backend-parity",
+        "registry-signature-sync",
     }
     (finding,) = document["findings"]
     assert finding["rule"] == "rng-discipline"
@@ -77,7 +77,6 @@ def test_lint_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in (
         "rng-discipline",
-        "backend-parity",
         "registry-signature-sync",
         "version-stamp",
         "lock-discipline",

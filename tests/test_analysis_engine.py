@@ -16,7 +16,6 @@ from repro.errors import ParameterError
 EXPECTED_RULES = {
     "rng-discipline",
     "no-column-fancy-gather",
-    "backend-parity",
     "registry-signature-sync",
     "version-stamp",
     "lock-discipline",

@@ -24,11 +24,9 @@ from repro.core.kernels import (
     block_chunked_sweep,
     block_frontier_push,
     block_global_sweep,
-    block_sweep_active,
     chunked_sweep,
     frontier_push,
     global_sweep,
-    sweep_active,
 )
 from repro.core.powerpush import PowerPushConfig, power_push, power_push_block
 from repro.core.residues import BlockPushState, PushState
@@ -166,33 +164,6 @@ class TestBlockKernels:
         # whatever node 1's push deposited, never gets zeroed.
         assert block.residue[1, 0] >= before
         assert block.reserve[1, 0] == 0.0
-
-    def test_block_sweep_active_mixed_density(self, medium_graph):
-        """Hot rows take the mat-mat path, cold rows the gather path."""
-        n = medium_graph.num_nodes
-        sources = [0, 1]
-        block = BlockPushState(medium_graph, sources)
-        states = [PushState(medium_graph, s) for s in sources]
-        # Row 0: all mass on the source (narrow frontier).  Row 1:
-        # residue spread over every node (wide frontier).
-        spread = np.full(n, 1.0 / n)
-        block.residue[1] = spread
-        block.refresh_r_sum(1)
-        states[1].residue[:] = spread
-        states[1].refresh_r_sum()
-        r_max = 1e-6
-        threshold = states[0].threshold_vector(r_max)
-        masks = block.active_masks(np.arange(2), threshold)
-        counts = block_sweep_active(
-            block, np.arange(2), masks, workspace=Workspace()
-        )
-        pushed = [
-            sweep_active(state, r_max, threshold_vec=threshold)
-            for state in states
-        ]
-        assert counts.tolist() == pushed
-        assert counts[0] <= 0.25 * n < counts[1]
-        block_rows_equal_states(block, states)
 
 
 class TestBlockChunkedSweep:

@@ -4,15 +4,22 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import (
+    block_frontier_push,
     frontier_edge_targets,
     frontier_push,
     global_sweep,
     sweep_active,
 )
 from repro.core.refinement import refine_to_r_max
-from repro.core.residues import PushState
+from repro.core.residues import BlockPushState, PushState
+from repro.core.workspace import Workspace
 from repro.errors import ConvergenceError, ParameterError
-from repro.graph.build import from_edges
+from repro.generators.rmat import rmat_digraph
+from repro.graph.build import from_edges, star_graph
+
+
+def _rmat_graph():
+    return rmat_digraph(7, 700, rng=np.random.default_rng(7))
 
 
 class TestFrontierEdgeTargets:
@@ -144,6 +151,70 @@ class TestSweepActive:
             sweep_active(a, r_max)
             sweep_active(b, r_max, threshold_vec=threshold)
         np.testing.assert_allclose(a.residue, b.residue, atol=1e-12)
+
+
+class TestEmptyFrontierFastPath:
+    """Empty frontiers must not touch the workspace."""
+
+    def test_frontier_push_empty_nodes(self):
+        graph = _rmat_graph()
+        state = PushState(graph, 0)
+        workspace = Workspace()
+        frontier_push(
+            state, np.empty(0, dtype=np.int64), workspace=workspace
+        )
+        assert workspace.requests == 0
+        assert state.r_sum == 1.0
+
+    def test_frontier_edge_targets_empty_nodes(self):
+        graph = _rmat_graph()
+        workspace = Workspace()
+        targets, counts = frontier_edge_targets(
+            graph, np.empty(0, dtype=np.int64), workspace=workspace
+        )
+        assert targets.shape[0] == 0 and counts.shape[0] == 0
+        assert workspace.requests == 0
+
+    def test_frontier_push_all_dead_frontier(self):
+        graph = star_graph(4, bidirectional=False)  # leaves are dead ends
+        state = PushState(graph, 0)
+        state.residue[:] = 0.25
+        state.refresh_r_sum()
+        workspace = Workspace()
+        # Pushing only dead ends gathers zero edges: no scatter, no
+        # workspace traffic, yet reserves/dead-mass still settle.
+        frontier_push(
+            state,
+            graph.dead_ends.astype(np.int64),
+            workspace=workspace,
+        )
+        assert workspace.requests == 0
+        assert state.counters.pushes == graph.dead_ends.shape[0]
+
+    def test_block_frontier_push_empty_rows(self):
+        graph = _rmat_graph()
+        state = BlockPushState(graph, [0, 1])
+        workspace = Workspace()
+        block_frontier_push(
+            state,
+            np.empty(0, dtype=np.int64),
+            np.zeros((0, graph.num_nodes), dtype=bool),
+            workspace=workspace,
+        )
+        assert workspace.requests == 0
+
+    def test_block_frontier_push_all_false_masks(self):
+        graph = _rmat_graph()
+        state = BlockPushState(graph, [0, 1])
+        workspace = Workspace()
+        block_frontier_push(
+            state,
+            np.arange(2),
+            np.zeros((2, graph.num_nodes), dtype=bool),
+            workspace=workspace,
+        )
+        assert workspace.requests == 0
+        np.testing.assert_array_equal(state.pushes, [0, 0])
 
 
 class TestRefinement:

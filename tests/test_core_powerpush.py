@@ -272,6 +272,34 @@ class TestChunkedScan:
         assert pp.counters.residue_updates < 0.8 * pi.counters.residue_updates
 
 
+class TestFaithfulFinalEpochStall:
+    """The scalar mode must also push past a stalled final epoch.
+
+    Under uniform-teleport the dead ends' conceptual degrees let nodes
+    that are all inactive still hold more than lambda in total; the
+    faithful scan then finds nothing to push with ``r_sum > lambda``.
+    """
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_dead_ends_meet_lambda(self, chunked_graphs, policy):
+        l1 = 1e-8
+        graph = chunked_graphs["dead-ends"]
+        for source in range(0, 99, 7):
+            result = power_push(
+                graph,
+                source,
+                l1_threshold=l1,
+                mode="faithful",
+                dead_end_policy=policy,
+            )
+            reference = power_iteration(
+                graph, source, l1_threshold=l1 / 100, dead_end_policy=policy
+            )
+            assert result.r_sum <= l1, (source, result.r_sum)
+            error = l1_error(result.estimate, reference.estimate)
+            assert error <= l1, (source, error)
+
+
 class TestResultShape:
     def test_method_name(self, paper_graph):
         assert power_push(paper_graph, 0).method == "PowerPush"
